@@ -1,0 +1,10 @@
+"""Make the repository sources importable for the benchmark's own tests
+(``python3 -m pytest perfbench``)."""
+
+import os
+import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
