@@ -18,7 +18,9 @@ Every kernel is bit-exact against the reference implementation it replaces
 (:class:`repro.nn.MultiHeadAttention`, :class:`repro.nn.SwiGLU`,
 :class:`repro.model.SwinBlock`) back to the reference paths, which is how
 the golden tests and the before/after benchmarks get both behaviors from
-one build.
+one build.  The SWiPe/Ulysses path in :mod:`repro.parallel` calls these
+same rotary and attention kernels, so sharded attention matches the
+single-process model bit for bit.
 """
 
 from __future__ import annotations

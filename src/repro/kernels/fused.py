@@ -31,6 +31,25 @@ __all__ = ["fused_apply_rotary", "fused_dot_product_attention",
            "fused_swiglu_forward"]
 
 
+def _rotate_pairs(xa: np.ndarray, cos: np.ndarray, sin: np.ndarray
+                  ) -> np.ndarray:
+    """``(x0, x1) -> (x0*c - x1*s, x0*s + x1*c)`` over the feature pairs of
+    ``xa`` (identical ufunc order to the reference mul/sub/add chain;
+    in-place only on freshly written slots)."""
+    pair_shape = xa.shape[:-1] + (xa.shape[-1] // 2, 2)
+    pairs = xa.reshape(pair_shape)
+    x0 = pairs[..., 0]
+    x1 = pairs[..., 1]
+    out = np.empty(pair_shape, dtype=np.result_type(xa, cos))
+    o0 = out[..., 0]
+    o1 = out[..., 1]
+    np.multiply(x0, cos, out=o0)
+    o0 -= x1 * sin
+    np.multiply(x0, sin, out=o1)
+    o1 += x1 * cos
+    return out.reshape(xa.shape)
+
+
 def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate feature pairs of ``x`` by per-token angles, as one graph node.
 
@@ -38,39 +57,12 @@ def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     ``x`` is ``(..., tokens, head_dim)``, ``cos``/``sin`` are
     ``(tokens, head_dim // 2)``.
     """
-    xa = x.data
-    half = xa.shape[-1] // 2
-    pair_shape = xa.shape[:-1] + (half, 2)
-    pairs = xa.reshape(pair_shape)
-    x0 = pairs[..., 0]
-    x1 = pairs[..., 1]
-    out = np.empty(pair_shape, dtype=np.result_type(xa, cos))
-    o0 = out[..., 0]
-    o1 = out[..., 1]
-    # r0 = x0*c - x1*s ; r1 = x0*s + x1*c  (identical ufunc order to the
-    # reference mul/sub/add chain; in-place only on freshly written slots).
-    np.multiply(x0, cos, out=o0)
-    o0 -= x1 * sin
-    np.multiply(x0, sin, out=o1)
-    o1 += x1 * cos
-    x_shape = xa.shape
-
-    def backward(g):
-        gp = g.reshape(pair_shape)
-        g0 = gp[..., 0]
-        g1 = gp[..., 1]
-        gx = np.empty(pair_shape, dtype=g.dtype)
-        b0 = gx[..., 0]
-        b1 = gx[..., 1]
-        # d/dx0 = g0*c + g1*s ; d/dx1 = g1*c - g0*s (addition order differs
-        # from the reference only by commutations, which are exact).
-        np.multiply(g0, cos, out=b0)
-        b0 += g1 * sin
-        np.multiply(g1, cos, out=b1)
-        b1 -= g0 * sin
-        return (gx.reshape(x_shape),)
-
-    return Tensor._make(out.reshape(x_shape), (x,), backward)
+    # The rotation is orthogonal, so its backward is the rotation by the
+    # opposite angle: d/dx0 = g0*c - g1*(-s), d/dx1 = g0*(-s) + g1*c, which
+    # equal the reference chain's sums bit for bit (negation and
+    # commutation are exact).
+    return Tensor._make(_rotate_pairs(x.data, cos, sin), (x,),
+                        lambda g: (_rotate_pairs(g, cos, -sin),))
 
 
 def fused_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

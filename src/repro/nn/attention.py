@@ -5,9 +5,9 @@ AERIS applies attention *within* Swin windows: inputs arrive shaped
 Queries/keys are rotated by axial-frequency 2D rotary embeddings (paper
 Section V-B, "in place of relative positional biases").
 
-The attention core (the part between the qkv and output projections — what
-runs between the two Ulysses all-to-alls under sequence parallelism) is a
-standalone function so :mod:`repro.parallel.sequence_parallel` can shard it.
+:func:`apply_rotary` and :func:`dot_product_attention` are the reference
+graphs: :class:`MultiHeadAttention` runs the bit-exact fused kernels of
+:mod:`repro.kernels` unless :func:`repro.kernels.disable_kernels` is active.
 """
 
 from __future__ import annotations
@@ -65,13 +65,9 @@ class MultiHeadAttention(Module):
         Embedding dimension.
     heads:
         Number of attention heads; must divide ``dim``.
-    attn_core:
-        The kernel applied to per-head q/k/v. Swappable so sequence
-        parallelism can interpose all-to-all collectives.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None = None,
-                 attn_core=dot_product_attention):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None = None):
         super().__init__()
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
@@ -82,7 +78,6 @@ class MultiHeadAttention(Module):
             raise ValueError("head_dim must be even for rotary embeddings")
         self.qkv = Linear(dim, 3 * dim, bias=False, rng=rng)
         self.out = Linear(dim, dim, bias=False, rng=rng)
-        self.attn_core = attn_core
 
     def forward(self, x: Tensor, rope_cos: np.ndarray | None = None,
                 rope_sin: np.ndarray | None = None) -> Tensor:
@@ -90,23 +85,17 @@ class MultiHeadAttention(Module):
         *lead, tokens, dim = x.shape
         qkv = self.qkv(x)                                     # (..., T, 3D)
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
-        # -> (3, ..., heads, tokens, head_dim)
-        perm = list(range(qkv.ndim))
         # current axes: lead..., T, 3, H, hd ; want: 3, lead..., H, T, hd
         n_lead = len(lead)
         order = [n_lead + 1] + list(range(n_lead)) + [n_lead + 2, n_lead, n_lead + 3]
-        del perm
         qkv = qkv.transpose(order)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        # The fused kernels are drop-in (bit-exact) for the default core
-        # only; a custom attn_core (e.g. sequence parallelism) keeps the
-        # reference rotary so its sharded tables see identical math.
-        fused = kernels_enabled() and self.attn_core is dot_product_attention
+        fused = kernels_enabled()
         if rope_cos is not None:
             rotary = fused_apply_rotary if fused else apply_rotary
             q = rotary(q, rope_cos, rope_sin)
             k = rotary(k, rope_cos, rope_sin)
-        core = fused_dot_product_attention if fused else self.attn_core
+        core = fused_dot_product_attention if fused else dot_product_attention
         out = core(q, k, v)                                   # (..., H, T, hd)
         # -> (..., T, H*hd)
         out = out.swapaxes(-2, -3).reshape(*lead, tokens, dim)

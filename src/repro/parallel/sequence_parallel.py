@@ -7,15 +7,18 @@ to *all tokens, head-sharded*; a second all-to-all restores the token
 sharding afterwards.  Both ride the intra-node fabric by construction.
 
 Functions here operate on NumPy shards and an explicit
-:class:`~repro.parallel.comm.SimCluster`, verifying (a) numerical
-equivalence with unsharded attention and (b) the message-size formula
-``M = b·s·h / SP / WP``.
+:class:`~repro.parallel.comm.SimCluster`, verifying (a) bit-exact
+equivalence with unsharded attention (the kernel between the all-to-alls is
+the model's own :func:`~repro.kernels.fused_dot_product_attention`) and
+(b) the message-size formula ``M = b·s·h / SP / WP``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import fused_dot_product_attention
+from ..tensor import Tensor
 from .comm import SimCluster
 
 __all__ = ["shard_sequence", "unshard_sequence", "ulysses_attention"]
@@ -31,17 +34,6 @@ def shard_sequence(tokens: np.ndarray, sp: int, axis: int = -3) -> list[np.ndarr
 
 def unshard_sequence(shards: list[np.ndarray], axis: int = -3) -> np.ndarray:
     return np.concatenate(shards, axis=axis)
-
-
-def _softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray
-                       ) -> np.ndarray:
-    """Reference kernel on ``(..., heads, T, hd)``."""
-    scale = np.float32(1.0 / np.sqrt(q.shape[-1]))  # keep FP32 (NumPy-2 promotion)
-    scores = np.einsum("...htd,...hsd->...hts", q, k) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return np.einsum("...hts,...hsd->...htd", scores, v)
 
 
 def ulysses_attention(cluster: SimCluster, sp_group: list[int],
@@ -79,9 +71,7 @@ def ulysses_attention(cluster: SimCluster, sp_group: list[int],
     out_headsharded = []
     for q, k, v in zip(q_full, k_full, v_full):
         # kernel expects (..., heads, T, hd)
-        qt = np.swapaxes(q, -2, -3)
-        kt = np.swapaxes(k, -2, -3)
-        vt = np.swapaxes(v, -2, -3)
-        out = _softmax_attention(qt, kt, vt)
+        out = fused_dot_product_attention(
+            *(Tensor(np.swapaxes(a, -2, -3)) for a in (q, k, v))).data
         out_headsharded.append(np.swapaxes(out, -2, -3))
     return backward_a2a(out_headsharded)

@@ -14,35 +14,23 @@ distributes it:
    back and the shift undone.
 
 Every byte moved rides the metered :class:`~repro.parallel.comm.SimCluster`.
-The result is verified (in tests) to equal the single-process
-:class:`~repro.nn.MultiHeadAttention` forward bit-for-bit (up to FP32
-reduction order).
+RoPE and the attention core are the model's own fused kernels, so the
+result equals the single-process :class:`~repro.nn.MultiHeadAttention`
+forward bit-exactly (verified in tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import rope_tables
+from ..kernels import fused_apply_rotary, rope_tables
+from ..tensor import Tensor
 from .comm import SimCluster
 from .sequence_parallel import ulysses_attention
 from .topology import RankTopology
 from .window_parallel import window_sharding
 
 __all__ = ["swipe_window_attention"]
-
-
-def _apply_rotary_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray
-                     ) -> np.ndarray:
-    """NumPy mirror of :func:`repro.nn.attention.apply_rotary` for
-    ``(..., tokens, heads, head_dim)`` with tables ``(tokens, head_dim/2)``."""
-    pairs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
-    x0, x1 = pairs[..., 0], pairs[..., 1]
-    c = cos[:, None, :]  # broadcast over heads
-    s = sin[:, None, :]
-    r0 = x0 * c - x1 * s
-    r1 = x0 * s + x1 * c
-    return np.stack([r0, r1], axis=-1).reshape(x.shape)
 
 
 def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int],
@@ -71,6 +59,7 @@ def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int]
     w_qkv = attention.qkv.weight.data          # (D, 3D)
     w_out = attention.out.weight.data          # (D, D)
     cos, sin = rope_tables(window, head_dim)
+    cos, sin = cos[:, None, :], sin[:, None, :]   # broadcast over heads
 
     sharding = window_sharding((image.shape[1], image.shape[2]), window,
                                topology.wp_grid)
@@ -105,10 +94,10 @@ def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int]
             v = qkv[:, :, :, 2]
             # Rope uses the *global* within-window token coordinates owned
             # by this SP shard.
-            q = _apply_rotary_np(q, rope_splits_cos[sp_rank],
-                                 rope_splits_sin[sp_rank])
-            k = _apply_rotary_np(k, rope_splits_cos[sp_rank],
-                                 rope_splits_sin[sp_rank])
+            q = fused_apply_rotary(Tensor(q), rope_splits_cos[sp_rank],
+                                   rope_splits_sin[sp_rank]).data
+            k = fused_apply_rotary(Tensor(k), rope_splits_cos[sp_rank],
+                                   rope_splits_sin[sp_rank]).data
             # ulysses expects (..., T/SP, H, hd): fold (B, nW) into leading.
             q_shards.append(q.reshape(b * n_win, t_shard, heads, head_dim))
             k_shards.append(k.reshape(b * n_win, t_shard, heads, head_dim))

@@ -379,14 +379,6 @@ class ModelRegistry:
                    reason=reason)
         return record
 
-    def attach_scorecard(self, version: str, scorecard: dict) -> None:
-        record = self.get(version)
-        record.scorecard = scorecard
-        self._index["versions"][version] = record.to_dict()
-        self._save_index()
-        self._book("scorecard", version,
-                   metrics=",".join(sorted(scorecard.get("summary", {}))))
-
     # -- materialization ---------------------------------------------------
     def load_state(self, version: str) -> dict:
         """The version's weights as a ``state_dict`` (digest-verified)."""

@@ -81,10 +81,6 @@ class MicroBatch:
     def n_members(self) -> int:
         return sum(p.request.n_members for p in self.requests)
 
-    @property
-    def max_lead(self) -> int:
-        return max(p.request.n_steps for p in self.requests)
-
 
 class MicroBatcher:
     """Pulls from an :class:`AdmissionQueue`, emits :class:`MicroBatch`es."""

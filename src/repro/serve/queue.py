@@ -143,10 +143,6 @@ class AdmissionQueue:
             return pending, expired
         return None, expired
 
-    def peek_tier(self) -> str | None:
-        """Tier of the current head (what the next batch will serve)."""
-        return self._heap[0][2].request.tier if self._heap else None
-
     def pop_tier(self, tier: str,
                  version: str | None = None) -> PendingRequest | None:
         """Next pending request of ``tier`` (and, when given, ``version``)

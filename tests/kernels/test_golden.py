@@ -2,8 +2,12 @@
 reference implementation it replaces — same outputs, same gradients, same
 FLOP counts, with and without emulated BF16."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import (
     disable_kernels,
@@ -19,7 +23,7 @@ from repro.kernels import (
 from repro.model import Aeris, AerisConfig
 from repro.model.rope import axial_rope_table
 from repro.model.windows import cyclic_shift, window_merge, window_partition
-from repro.nn import MultiHeadAttention, SwiGLU
+from repro.nn import SwiGLU
 from repro.nn.attention import apply_rotary, dot_product_attention
 from repro.tensor import (
     FlopCounter,
@@ -211,15 +215,77 @@ class TestModelGolden:
         for a, b in zip(grads(True), grads(False)):
             np.testing.assert_array_equal(a, b)
 
-    def test_attention_module_with_custom_core_keeps_reference_path(self):
-        attn = MultiHeadAttention(16, 2, rng=np.random.default_rng(5))
-        calls = []
 
-        def spy_core(q, k, v):
-            calls.append(1)
-            return dot_product_attention(q, k, v)
+@st.composite
+def kernel_cases(draw):
+    """Random leading dims, tokens, head_dim, BF16 and grad settings."""
+    return dict(
+        lead=tuple(draw(st.lists(st.integers(1, 3), max_size=3))),
+        tokens=draw(st.integers(1, 20)),
+        head_dim=draw(st.sampled_from([2, 4, 6, 8, 16])),
+        bf16=draw(st.booleans()),
+        grad=draw(st.booleans()),
+        seed=draw(st.integers(0, 10_000)))
 
-        attn.attn_core = spy_core
-        x = Tensor(rng.normal(size=(2, 8, 16)).astype(np.float32))
-        attn(x)
-        assert calls  # custom core (sequence parallelism) must still be used
+
+def _run_differential(fn, arrays, case, g):
+    """``fn`` on fresh tensors of ``arrays`` under the case's BF16 and grad
+    settings: (output, input gradients, (forward, backward) FLOPs)."""
+    inputs = [Tensor(a.copy(), requires_grad=case["grad"]) for a in arrays]
+    fc = FlopCounter()
+    grad_mode = nullcontext() if case["grad"] else no_grad()
+    with count_flops(fc), autocast_bf16(case["bf16"]), grad_mode:
+        out = fn(*inputs)
+        if case["grad"]:
+            out.backward(g)
+    return out.numpy(), [t.grad for t in inputs], (fc.forward, fc.backward)
+
+
+def _assert_same(ref, fused):
+    np.testing.assert_array_equal(fused[0], ref[0])
+    for a, b in zip(ref[1], fused[1]):
+        if a is None:
+            assert b is None
+        else:
+            np.testing.assert_array_equal(b, a)
+    assert fused[2] == ref[2]
+
+
+class TestDifferential:
+    """Fused kernels against the reference graphs over random shapes."""
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_attention_matches_reference(self, case):
+        local = np.random.default_rng(case["seed"])
+        shape = case["lead"] + (case["tokens"], case["head_dim"])
+        arrays = [local.normal(size=shape).astype(np.float32)
+                  for _ in range(3)]
+        g = local.normal(size=shape).astype(np.float32)
+        ref = _run_differential(dot_product_attention, arrays, case, g)
+        fused = _run_differential(fused_dot_product_attention, arrays, case, g)
+        _assert_same(ref, fused)
+        assert ref[2][0] > 0
+
+    @given(kernel_cases(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rotary_matches_reference(self, case, per_head):
+        """Forward and backward (the rotation by ``-sin``), with tables
+        either per token or broadcast over a heads axis as SWiPe passes
+        them."""
+        local = np.random.default_rng(case["seed"])
+        tokens, half = case["tokens"], case["head_dim"] // 2
+        angles = local.uniform(-np.pi, np.pi, size=(tokens, half))
+        cos, sin = (np.cos(angles).astype(np.float32),
+                    np.sin(angles).astype(np.float32))
+        shape = case["lead"] + (tokens, case["head_dim"])
+        if per_head:
+            shape = case["lead"] + (tokens, 3, case["head_dim"])
+            cos, sin = cos[:, None, :], sin[:, None, :]
+        x = local.normal(size=shape).astype(np.float32)
+        g = local.normal(size=shape).astype(np.float32)
+        ref = _run_differential(lambda t: apply_rotary(t, cos, sin),
+                                [x], case, g)
+        fused = _run_differential(lambda t: fused_apply_rotary(t, cos, sin),
+                                  [x], case, g)
+        _assert_same(ref, fused)

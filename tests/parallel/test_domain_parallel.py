@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.nn.attention import dot_product_attention
 from repro.parallel import DomainSharding, SimCluster, WindowSharding
-from repro.parallel.sequence_parallel import _softmax_attention
+from repro.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
@@ -12,8 +13,8 @@ rng = np.random.default_rng(0)
 def toy_window_attention(w_proj):
     def fn(stack):
         x = stack @ w_proj
-        q = k = v = x[:, :, None]
-        return _softmax_attention(q, k, v)[:, :, 0]
+        q = k = v = Tensor(x[:, :, None])
+        return dot_product_attention(q, k, v).numpy()[:, :, 0]
     return fn
 
 

@@ -1,18 +1,23 @@
 """Hypothesis property tests for the parallel substrate: collectives,
-topology, and sharding invariants."""
+topology, sharding invariants, and bit-exact SWiPe/Ulysses attention."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.model import axial_rope_table, cyclic_shift, window_merge, window_partition
+from repro.nn import MultiHeadAttention
+from repro.nn.attention import dot_product_attention
 from repro.parallel import (
     RankTopology,
     SimCluster,
     WindowSharding,
     shard_sequence,
+    swipe_window_attention,
     ulysses_attention,
     unshard_sequence,
 )
+from repro.tensor import Tensor, no_grad
 
 
 @st.composite
@@ -91,15 +96,57 @@ class TestUlyssesProperties:
         q = rng.normal(size=shape).astype(np.float32)
         k = rng.normal(size=shape).astype(np.float32)
         v = rng.normal(size=shape).astype(np.float32)
-        from repro.parallel.sequence_parallel import _softmax_attention
-        ref = np.swapaxes(_softmax_attention(
-            np.swapaxes(q, -2, -3), np.swapaxes(k, -2, -3),
-            np.swapaxes(v, -2, -3)), -2, -3)
+        ref = np.swapaxes(dot_product_attention(
+            *(Tensor(np.swapaxes(a, -2, -3)) for a in (q, k, v))).numpy(),
+            -2, -3)
         out = unshard_sequence(ulysses_attention(
             SimCluster(sp), list(range(sp)),
             shard_sequence(q, sp), shard_sequence(k, sp),
             shard_sequence(v, sp)))
-        np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
+        np.testing.assert_array_equal(out, ref)
+
+
+@st.composite
+def swipe_cases(draw):
+    dim = draw(st.sampled_from([8, 16, 32]))
+    heads = draw(st.sampled_from([h for h in (1, 2, 4) if dim // h >= 4]))
+    window = draw(st.sampled_from([(4, 4), (2, 4), (4, 8)]))
+    wp_grid = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    sp = draw(st.sampled_from([s for s in (1, 2, 4) if heads % s == 0]))
+    reps = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    grid = (window[0] * wp_grid[0] * reps[0], window[1] * wp_grid[1] * reps[1])
+    return dict(dim=dim, heads=heads, window=window, wp_grid=wp_grid, sp=sp,
+                grid=grid, shifted=draw(st.booleans()),
+                seed=draw(st.integers(0, 10_000)))
+
+
+class TestSwipeProperties:
+    @given(swipe_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_swipe_equals_single_process_bit_exact(self, case):
+        """Sharded SWiPe attention (WP round-robin x Ulysses SP, RoPE) is the
+        model's own MultiHeadAttention forward, bit for bit."""
+        rng = np.random.default_rng(case["seed"])
+        dim, heads, window = case["dim"], case["heads"], case["window"]
+        attention = MultiHeadAttention(dim, heads, rng=rng)
+        image = rng.normal(size=(2,) + case["grid"] + (dim,)
+                           ).astype(np.float32)
+        topo = RankTopology(dp=1, pp=1, wp_grid=case["wp_grid"],
+                            sp=case["sp"])
+        out = swipe_window_attention(image, attention, window, topo,
+                                     shifted=case["shifted"])
+
+        shift = (window[0] // 2, window[1] // 2)
+        cos, sin = axial_rope_table(window, dim // heads)
+        x = Tensor(image)
+        with no_grad():
+            if case["shifted"]:
+                x = cyclic_shift(x, shift)
+            merged = window_merge(attention(window_partition(x, window),
+                                            cos, sin), case["grid"], window)
+            if case["shifted"]:
+                merged = cyclic_shift(merged, shift, reverse=True)
+        np.testing.assert_array_equal(out, merged.numpy())
 
 
 class TestWindowShardingProperties:

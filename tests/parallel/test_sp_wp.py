@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.model import TINY, window_partition
+from repro.nn.attention import dot_product_attention
 from repro.parallel import (
     SimCluster,
     WindowSharding,
@@ -13,7 +14,6 @@ from repro.parallel import (
     ulysses_attention,
     unshard_sequence,
 )
-from repro.parallel.sequence_parallel import _softmax_attention
 from repro.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -27,8 +27,8 @@ class TestUlysses:
                 rng.normal(size=shape).astype(np.float32))
 
     def _reference(self, q, k, v):
-        qt, kt, vt = (np.swapaxes(x, -2, -3) for x in (q, k, v))
-        return np.swapaxes(_softmax_attention(qt, kt, vt), -2, -3)
+        qt, kt, vt = (Tensor(np.swapaxes(x, -2, -3)) for x in (q, k, v))
+        return np.swapaxes(dot_product_attention(qt, kt, vt).numpy(), -2, -3)
 
     @pytest.mark.parametrize("sp", [1, 2, 4])
     def test_equivalence_with_unsharded(self, sp):
@@ -40,8 +40,7 @@ class TestUlysses:
             shard_sequence(q, sp), shard_sequence(k, sp),
             shard_sequence(v, sp))
         out = unshard_sequence(out_shards)
-        np.testing.assert_allclose(out, self._reference(q, k, v),
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(out, self._reference(q, k, v))
 
     def test_message_size_formula(self):
         """All-to-all volume per attention = (SP−1)/SP of the qkv+out data —
@@ -119,9 +118,8 @@ class TestWindowSharding:
         # A real per-window (single-head) attention with a tied projection.
         def attention_fn(stack):
             x = stack @ w  # (B, n, T, D)
-            q = k = v = x[:, :, None]  # single head: (B, n, 1, T, D)
-            out = _softmax_attention(q, k, v)
-            return out[:, :, 0]
+            q = k = v = Tensor(x[:, :, None])  # single head: (B, n, 1, T, D)
+            return dot_product_attention(q, k, v).numpy()[:, :, 0]
 
         parallel = sharding.parallel_apply(image, attention_fn)
         serial = sharding.unshard(
