@@ -23,7 +23,7 @@ import numpy as np
 from ..tensor import Tensor, is_grad_enabled
 from ..tensor.bf16 import bf16_matmul_enabled, round_bf16
 from ..tensor.flops import add_flops, flops_enabled
-from ..tensor.tensor import _unbroadcast
+from ..tensor.tensor import _as_array, _unbroadcast
 from ..tensor.workspace import arena
 from .abft import guard_gemm
 
@@ -35,19 +35,26 @@ def _rotate_pairs(xa: np.ndarray, cos: np.ndarray, sin: np.ndarray
                   ) -> np.ndarray:
     """``(x0, x1) -> (x0*c - x1*s, x0*s + x1*c)`` over the feature pairs of
     ``xa`` (identical ufunc order to the reference mul/sub/add chain;
-    in-place only on freshly written slots)."""
-    pair_shape = xa.shape[:-1] + (xa.shape[-1] // 2, 2)
-    pairs = xa.reshape(pair_shape)
-    x0 = pairs[..., 0]
-    x1 = pairs[..., 1]
-    out = np.empty(pair_shape, dtype=np.result_type(xa, cos))
-    o0 = out[..., 0]
-    o1 = out[..., 1]
+    in-place only on freshly written slots).
+
+    ``xa`` is copied once if it is a strided view (the q/k slices of the
+    transposed qkv projection), so every ufunc below runs over contiguous
+    memory; the even/odd features are strided views of that copy and the
+    ``x1*s``/``x1*c`` products share one temporary."""
+    xa = np.ascontiguousarray(xa)
+    x0 = xa[..., 0::2]
+    x1 = xa[..., 1::2]
+    out = np.empty(xa.shape, dtype=np.result_type(xa, cos))
+    o0 = out[..., 0::2]
+    o1 = out[..., 1::2]
+    tmp = np.empty(o0.shape, dtype=out.dtype)
     np.multiply(x0, cos, out=o0)
-    o0 -= x1 * sin
+    np.multiply(x1, sin, out=tmp)
+    o0 -= tmp
     np.multiply(x0, sin, out=o1)
-    o1 += x1 * cos
-    return out.reshape(xa.shape)
+    np.multiply(x1, cos, out=tmp)
+    o1 += tmp
+    return out
 
 
 def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -60,7 +67,9 @@ def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     # The rotation is orthogonal, so its backward is the rotation by the
     # opposite angle: d/dx0 = g0*c - g1*(-s), d/dx1 = g0*(-s) + g1*c, which
     # equal the reference chain's sums bit for bit (negation and
-    # commutation are exact).
+    # commutation are exact).  The tables are coerced as the reference's
+    # ``Tensor(cos)`` coerces them (float64 -> float32).
+    cos, sin = _as_array(cos), _as_array(sin)
     return Tensor._make(_rotate_pairs(x.data, cos, sin), (x,),
                         lambda g: (_rotate_pairs(g, cos, -sin),))
 

@@ -14,6 +14,14 @@ instrumented so that:
 Design notes
 ------------
 Gradients are accumulated by a topological-order sweep (`Tensor.backward`).
+Only leaves (tensors without a backward closure) keep a ``.grad``, as in
+PyTorch; an intermediate's gradient lives in the sweep and is dropped once
+its parents have theirs.  Backward closures return ``None`` for operands
+that do not require gradients instead of computing values nobody reads.
+``__getitem__`` scatters its gradient with an in-place add for basic
+indices (ints, slices, ``Ellipsis``, ``None``), which never repeat an
+element, and with ``np.add.at`` for advanced ones (arrays, lists, masks,
+``bool``), which may.
 All arithmetic supports NumPy broadcasting; backward passes un-broadcast by
 summing over expanded axes.  Data is kept in FP32 unless a caller opts in to
 FP64 explicitly (useful in gradient-check tests).
@@ -78,6 +86,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is a NumPy *basic* index (a view that never
+    repeats an element); ``bool`` scalars count as advanced."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(item is None or item is Ellipsis or isinstance(item, slice)
+               or (isinstance(item, (int, np.integer))
+                   and not isinstance(item, bool))
+               for item in items)
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode autodiff.
 
@@ -87,7 +105,8 @@ class Tensor:
         Array-like payload; floats are stored as FP32 unless ``dtype`` says
         otherwise.
     requires_grad:
-        Whether gradients should be accumulated into ``self.grad``.
+        Whether gradients flow to this tensor; a leaf that requires them
+        accumulates them into ``self.grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
@@ -163,7 +182,9 @@ class Tensor:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to ones (the tensor must then be a scalar to make
-        mathematical sense, but any shape is accepted).
+        mathematical sense, but any shape is accepted).  Only leaves that
+        require gradients accumulate into ``.grad``; intermediate nodes,
+        this tensor included unless it is a leaf, keep ``.grad`` untouched.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -195,8 +216,8 @@ class Tensor:
                 node_grad = grads.pop(id(node), None)
                 if node_grad is None:
                     continue
-                node._accumulate(node_grad)
                 if node._backward is None:
+                    node._accumulate(node_grad)
                     continue
                 parent_grads = node._backward(node_grad)
                 for parent, pgrad in zip(node._parents, parent_grads):
@@ -222,7 +243,9 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data + other.data
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad
+                    else None)
         return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
@@ -231,7 +254,9 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data - other.data
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(-g, other.shape) if other.requires_grad
+                    else None)
         return Tensor._make(data, (self, other), backward)
 
     def __rsub__(self, other):
@@ -244,8 +269,10 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data * other.data
         def backward(g):
-            return (_unbroadcast(g * other.data, self.shape),
-                    _unbroadcast(g * self.data, other.shape))
+            return (_unbroadcast(g * other.data, self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(g * self.data, other.shape)
+                    if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
@@ -254,8 +281,10 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data / other.data
         def backward(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
+            return (_unbroadcast(g / other.data, self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
+                    if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other):
@@ -431,7 +460,10 @@ class Tensor:
         shape = self.shape
         def backward(g):
             full = np.zeros(shape, dtype=g.dtype)
-            np.add.at(full, index, g)
+            if _is_basic_index(index):
+                full[index] += g
+            else:
+                np.add.at(full, index, g)
             return (full,)
         return Tensor._make(data, (self,), backward)
 

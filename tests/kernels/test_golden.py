@@ -241,13 +241,23 @@ def _run_differential(fn, arrays, case, g):
     return out.numpy(), [t.grad for t in inputs], (fc.forward, fc.backward)
 
 
+def _assert_bits_equal(got, want):
+    """Same dtype, shape and bit pattern (``assert_array_equal`` alone
+    would take ``-0.0`` for ``0.0``)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(f"u{got.itemsize}"),
+        np.ascontiguousarray(want).view(f"u{want.itemsize}"))
+
+
 def _assert_same(ref, fused):
-    np.testing.assert_array_equal(fused[0], ref[0])
+    _assert_bits_equal(fused[0], ref[0])
     for a, b in zip(ref[1], fused[1]):
         if a is None:
             assert b is None
         else:
-            np.testing.assert_array_equal(b, a)
+            _assert_bits_equal(b, a)
     assert fused[2] == ref[2]
 
 
@@ -267,25 +277,37 @@ class TestDifferential:
         _assert_same(ref, fused)
         assert ref[2][0] > 0
 
-    @given(kernel_cases(), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_rotary_matches_reference(self, case, per_head):
+    @given(kernel_cases(), st.sampled_from(["tokens", "per_head", "qkv_view"]),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=90, deadline=None)
+    def test_rotary_matches_reference(self, case, layout, table_dtype):
         """Forward and backward (the rotation by ``-sin``), with tables
-        either per token or broadcast over a heads axis as SWiPe passes
-        them."""
+        either per token, broadcast over a heads axis as SWiPe passes
+        them, or applied to the strided q slice of a fused qkv projection
+        as ``MultiHeadAttention`` passes it; tables in float32 or
+        float64."""
         local = np.random.default_rng(case["seed"])
-        tokens, half = case["tokens"], case["head_dim"] // 2
-        angles = local.uniform(-np.pi, np.pi, size=(tokens, half))
-        cos, sin = (np.cos(angles).astype(np.float32),
-                    np.sin(angles).astype(np.float32))
-        shape = case["lead"] + (tokens, case["head_dim"])
-        if per_head:
-            shape = case["lead"] + (tokens, 3, case["head_dim"])
+        lead, tokens = case["lead"], case["tokens"]
+        head_dim = case["head_dim"]
+        angles = local.uniform(-np.pi, np.pi, size=(tokens, head_dim // 2))
+        cos, sin = (np.cos(angles).astype(table_dtype),
+                    np.sin(angles).astype(table_dtype))
+        shape = out_shape = lead + (tokens, head_dim)
+        order = None
+        if layout == "per_head":
+            shape = out_shape = lead + (tokens, 3, head_dim)
             cos, sin = cos[:, None, :], sin[:, None, :]
+        elif layout == "qkv_view":
+            n = len(lead)
+            shape = lead + (tokens, 3, 2, head_dim)
+            order = [n + 1, *range(n), n + 2, n, n + 3]
+            out_shape = lead + (2, tokens, head_dim)
         x = local.normal(size=shape).astype(np.float32)
-        g = local.normal(size=shape).astype(np.float32)
-        ref = _run_differential(lambda t: apply_rotary(t, cos, sin),
-                                [x], case, g)
-        fused = _run_differential(lambda t: fused_apply_rotary(t, cos, sin),
-                                  [x], case, g)
-        _assert_same(ref, fused)
+        g = local.normal(size=out_shape).astype(np.float32)
+
+        def run(rotary):
+            def fn(t):
+                return rotary(t.transpose(order)[0] if order else t, cos, sin)
+            return _run_differential(fn, [x], case, g)
+
+        _assert_same(run(apply_rotary), run(fused_apply_rotary))

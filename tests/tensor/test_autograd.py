@@ -205,6 +205,42 @@ class TestGraphMechanics:
         (x * 2).backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
+    def test_intermediates_keep_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 3
+        y = (h * h).sum()
+        y.backward()
+        assert h.grad is None and y.grad is None
+        np.testing.assert_allclose(x.grad, [18.0, 36.0])  # 18x
+
+    def test_leaf_used_twice_accumulates(self):
+        x = Tensor([2.0, 3.0], requires_grad=True)
+        ((x * 2).sum() + (x * x).sum()).backward()  # 2 + 2x
+        np.testing.assert_allclose(x.grad, [6.0, 8.0])
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+    def test_constant_operand_gets_no_grad(self, op):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        c = Tensor([4.0, 5.0])
+        out = getattr(x, f"__{op}__")(c)
+        # The closure skips the constant's gradient instead of computing it.
+        assert out._backward(np.ones(2, dtype=np.float32))[1] is None
+        out.sum().backward()
+        assert c.grad is None and x.grad is not None
+
+    def test_backward_from_non_leaf_root_reaches_boundary_leaves(self):
+        """The pipeline's stage-by-stage backward: each stage starts from a
+        detached boundary leaf, and ``backward(grad)`` on the previous
+        stage's (non-leaf) output carries the boundary gradient on."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        stage0 = x * 2
+        boundary = Tensor(stage0.numpy().copy(), requires_grad=True)
+        (boundary * boundary).sum().backward()
+        np.testing.assert_allclose(boundary.grad, [4.0, 8.0])
+        stage0.backward(boundary.grad)
+        assert stage0.grad is None
+        np.testing.assert_allclose(x.grad, [8.0, 16.0])
+
     def test_float32_default(self):
         assert Tensor([1.0, 2.0]).dtype == np.float32
         assert Tensor(np.arange(3)).dtype == np.float32
